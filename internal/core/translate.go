@@ -316,20 +316,25 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 		// materializing; cold data feeds the engine batch-by-batch.
 		return u.Back.ScanPlan(engine.Schema{Cols: cols}, width, attrIdx, name), lay
 	}
-	rel := engine.NewRelation(engine.Schema{Cols: cols})
-	for _, r := range u.Rows {
-		row := make(engine.Tuple, 0, len(cols))
-		d := r.D.Pad(width)
-		for _, a := range d {
-			row = append(row, engine.Int(int64(a.Var)), engine.Int(int64(a.Val)))
+	// Every row is carved out of one value arena: two allocations per
+	// partition instead of a tuple plus a padded descriptor per row.
+	ncols := len(cols)
+	arena := make([]engine.Value, len(u.Rows)*ncols)
+	rows := make([]engine.Tuple, len(u.Rows))
+	for i, r := range u.Rows {
+		row := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
+		for k := 0; k < width; k++ {
+			a := r.D.PaddedAt(k, width)
+			row[2*k] = engine.Int(int64(a.Var))
+			row[2*k+1] = engine.Int(int64(a.Val))
 		}
-		row = append(row, engine.Int(r.TID))
-		for _, ai := range attrIdx {
-			row = append(row, r.Vals[ai])
+		row[2*width] = engine.Int(r.TID)
+		for j, ai := range attrIdx {
+			row[2*width+1+j] = r.Vals[ai]
 		}
-		rel.Append(row)
+		rows[i] = row
 	}
-	return engine.Values(rel, name), lay
+	return engine.Values(&engine.Relation{Sch: engine.Schema{Cols: cols}, Rows: rows}, name), lay
 }
 
 func kindsOf(u *URelation) []engine.Kind {

@@ -276,10 +276,6 @@ func TestEstimateStatsSanity(t *testing.T) {
 	if join.Rows < 100 || join.Rows > 1000 {
 		t.Fatalf("join estimate implausible: %v", join.Rows)
 	}
-	cost := EstimateCost(Join(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")), cat)
-	if cost <= 0 {
-		t.Fatal("cost must be positive")
-	}
 }
 
 func TestOptimizerAblationSemantics(t *testing.T) {

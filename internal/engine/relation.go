@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Relation is an in-memory table: a schema plus a bag of tuples. The
@@ -12,6 +13,41 @@ import (
 type Relation struct {
 	Sch  Schema
 	Rows []Tuple
+
+	stats atomic.Pointer[statsMemo] // see Stats
+}
+
+// statsMemo is the statistics of Rows as they were when computed,
+// keyed by the row count and backing array they were computed on.
+type statsMemo struct {
+	ts   *TableStats
+	n    int
+	base *Tuple
+}
+
+// statsComputations counts statistics computations by Stats, so tests
+// can check that the optimizer reuses them.
+var statsComputations atomic.Int64
+
+// Stats returns the relation's statistics, computing them on first use
+// and reusing them until the rows change. Append drops them; because
+// Rows is an exported field they are also recomputed whenever its
+// length or backing array differs from what they were computed on.
+// Rewriting rows in place under the same slice is not detected; call
+// Catalog.Put (or Append) after such edits. Safe for concurrent use by
+// readers of the relation.
+func (r *Relation) Stats() *TableStats {
+	var base *Tuple
+	if len(r.Rows) > 0 {
+		base = &r.Rows[0]
+	}
+	if m := r.stats.Load(); m != nil && m.n == len(r.Rows) && m.base == base {
+		return m.ts
+	}
+	statsComputations.Add(1)
+	ts := ComputeStats(r)
+	r.stats.Store(&statsMemo{ts: ts, n: len(r.Rows), base: base})
+	return ts
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -28,6 +64,9 @@ func (r *Relation) Append(t Tuple) {
 			len(t), r.Sch.Len(), r.Sch.Names()))
 	}
 	r.Rows = append(r.Rows, t)
+	if r.stats.Load() != nil {
+		r.stats.Store(nil)
+	}
 }
 
 // AppendVals adds a row built from the given values.
@@ -172,23 +211,22 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// Catalog maps relation names to stored relations and their statistics.
-// It is the engine's "database".
+// Catalog maps relation names to stored relations. It is the engine's
+// "database"; statistics live on the relations themselves.
 type Catalog struct {
-	rels  map[string]*Relation
-	stats map[string]*TableStats
+	rels map[string]*Relation
 }
 
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{rels: map[string]*Relation{}, stats: map[string]*TableStats{}}
+	return &Catalog{rels: map[string]*Relation{}}
 }
 
-// Put registers (or replaces) a relation under name and recomputes its
-// statistics lazily (on first use).
+// Put registers (or replaces) a relation under name. Its statistics are
+// recomputed lazily (on first use), also when r was edited in place.
 func (c *Catalog) Put(name string, r *Relation) {
+	r.stats.Store(nil)
 	c.rels[name] = r
-	delete(c.stats, name)
 }
 
 // Get returns the named relation or an error.
@@ -222,16 +260,11 @@ func (c *Catalog) Names() []string {
 // Stats returns (computing and caching on demand) statistics for the
 // named relation, or nil if the relation does not exist.
 func (c *Catalog) Stats(name string) *TableStats {
-	if s, ok := c.stats[name]; ok {
-		return s
-	}
 	r, ok := c.rels[name]
 	if !ok {
 		return nil
 	}
-	s := ComputeStats(r)
-	c.stats[name] = s
-	return s
+	return r.Stats()
 }
 
 // SizeBytes sums the footprint of all relations in the catalog.

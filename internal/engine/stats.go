@@ -38,28 +38,23 @@ func ComputeStats(r *Relation) *TableStats {
 	if n > statsSampleCap {
 		step = n / statsSampleCap
 	}
+	sampled := (n + step - 1) / step
 	var kbuf []byte
-	scratch := make(Tuple, 1)
 	for ci, col := range r.Sch.Cols {
-		distinct := make(map[string]struct{})
+		var distinct int
+		distinct, kbuf = countDistinct(r.Rows, ci, step, kbuf)
 		var mn, mx Value
 		seen := false
 		numeric := true
-		sampled := 0
 		var nums []float64
 		for i := 0; i < n; i += step {
 			v := r.Rows[i][ci]
-			sampled++
-			// Reused key buffer; the map[string(bytes)] lookup does not
-			// allocate, so only fresh distinct values pay a conversion.
-			scratch[0] = v
-			kbuf = AppendKey(kbuf[:0], scratch)
-			if _, ok := distinct[string(kbuf)]; !ok {
-				distinct[string(kbuf)] = struct{}{}
-			}
 			if v.K != KindInt && v.K != KindFloat {
 				numeric = false
 				continue
+			}
+			if nums == nil {
+				nums = make([]float64, 0, sampled)
 			}
 			nums = append(nums, v.AsFloat())
 			if !seen {
@@ -74,10 +69,10 @@ func ComputeStats(r *Relation) *TableStats {
 				}
 			}
 		}
-		ndv := float64(len(distinct))
+		ndv := float64(distinct)
 		if step > 1 && sampled > 0 {
 			// First-order scale-up of the sampled distinct count.
-			frac := float64(len(distinct)) / float64(sampled)
+			frac := float64(distinct) / float64(sampled)
 			ndv = math.Min(ts.Rows, frac*ts.Rows)
 		}
 		if ndv < 1 {
@@ -90,6 +85,42 @@ func ComputeStats(r *Relation) *TableStats {
 		ts.Cols[col.Name] = cs
 	}
 	return ts
+}
+
+// countDistinct counts the distinct values of column ci over every
+// step-th row, with the value identity of KeyString (so Int(3) and
+// Float(3.0) are one value). A column of ints and NULLs is counted on
+// its int64 payloads; any other column on reused KeyString bytes, where
+// the map lookup does not allocate and only fresh values pay a
+// conversion. kbuf is the caller's scratch buffer, returned grown.
+func countDistinct(rows []Tuple, ci, step int, kbuf []byte) (int, []byte) {
+	allInt := true
+	for i := 0; i < len(rows); i += step {
+		if k := rows[i][ci].K; k != KindInt && k != KindNull {
+			allInt = false
+			break
+		}
+	}
+	if allInt {
+		ints := make(map[int64]struct{})
+		null := 0
+		for i := 0; i < len(rows); i += step {
+			if v := rows[i][ci]; v.K == KindNull {
+				null = 1
+			} else {
+				ints[v.I] = struct{}{}
+			}
+		}
+		return len(ints) + null, kbuf
+	}
+	keys := make(map[string]struct{})
+	for i := 0; i < len(rows); i += step {
+		kbuf = AppendKey(kbuf[:0], rows[i][ci:ci+1])
+		if _, ok := keys[string(kbuf)]; !ok {
+			keys[string(kbuf)] = struct{}{}
+		}
+	}
+	return len(keys), kbuf
 }
 
 // equiDepthHist builds sorted bucket boundaries holding equal row
@@ -145,7 +176,10 @@ const (
 // intentionally simple — the same selectivity heuristics classic
 // System-R-style optimizers use — because the paper's observation is
 // that standard selectivity-based cost measures work well on translated
-// U-relation queries.
+// U-relation queries. Leaf statistics come from Catalog.Stats and
+// Relation.Stats, which compute them once per relation, so the
+// join-order search re-estimates candidate trees without rescanning
+// base data.
 func EstimateStats(p Plan, cat *Catalog) PlanStats {
 	switch n := p.(type) {
 	case *ScanPlan:
@@ -159,7 +193,7 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: ts.Rows, NDV: ndv}
 	case *ValuesPlan:
-		ts := ComputeStats(n.Rel)
+		ts := n.Rel.Stats()
 		ndv := make(map[string]float64, len(ts.Cols))
 		for c, cs := range ts.Cols {
 			ndv[c] = cs.NDV
@@ -299,10 +333,10 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 }
 
 // EstimateRows returns only the estimated output cardinality of a plan.
-// Unlike EstimateStats it never computes per-column statistics (no
-// ComputeStats on anonymous ValuesPlan inputs), so it is cheap enough to
-// call during physical lowering, where it gates the serial-vs-parallel
-// operator choice.
+// Unlike EstimateStats it reads no per-column statistics and builds no
+// NDV maps, so it is cheap enough to call for every node during
+// physical lowering, where it gates the serial-vs-parallel operator
+// choice.
 func EstimateRows(p Plan, cat *Catalog) float64 {
 	switch n := p.(type) {
 	case *ScanPlan:
@@ -554,8 +588,7 @@ func baseColStats(p Plan, cat *Catalog, col string) (ColStats, bool) {
 		}
 		return cs, ok
 	case *ValuesPlan:
-		ts := ComputeStats(n.Rel)
-		cs, ok := ts.Cols[col]
+		cs, ok := n.Rel.Stats().Cols[col]
 		return cs, ok
 	case *FilterPlan:
 		return baseColStats(n.Child, cat, col)
@@ -569,21 +602,4 @@ func baseColStats(p Plan, cat *Catalog, col string) (ColStats, bool) {
 	default:
 		return ColStats{}, false
 	}
-}
-
-// EstimateCost computes a coarse total cost (rows processed) for a
-// physical-agnostic plan; used by the greedy join orderer.
-func EstimateCost(p Plan, cat *Catalog) float64 {
-	cost := 0.0
-	var walk func(Plan) float64
-	walk = func(q Plan) float64 {
-		st := EstimateStats(q, cat)
-		for _, c := range q.Children() {
-			cost += walk(c)
-		}
-		cost += st.Rows
-		return st.Rows
-	}
-	walk(p)
-	return cost
 }

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -203,5 +207,250 @@ func TestEstimateRowsSourcePropagation(t *testing.T) {
 	// The gate itself: estimated rows clear the default threshold.
 	if !parallelWorthwhile(ExecConfig{}, EstimateRows(Project(src, "a"), cat)) {
 		t.Fatal("parallel gate should fire on a 50k-row stored scan")
+	}
+}
+
+// keyStringStats is the reference statistics computation: it counts
+// distinct values on KeyString bytes for every column, the identity
+// ComputeStats' NDV must keep bit for bit.
+func keyStringStats(r *Relation) *TableStats {
+	ts := &TableStats{Rows: float64(len(r.Rows)), Cols: map[string]ColStats{}}
+	n := len(r.Rows)
+	step := 1
+	if n > statsSampleCap {
+		step = n / statsSampleCap
+	}
+	for ci, col := range r.Sch.Cols {
+		distinct := map[string]struct{}{}
+		var mn, mx Value
+		seen, numeric := false, true
+		sampled := 0
+		var nums []float64
+		for i := 0; i < n; i += step {
+			v := r.Rows[i][ci]
+			sampled++
+			distinct[KeyString(Tuple{v})] = struct{}{}
+			if v.K != KindInt && v.K != KindFloat {
+				numeric = false
+				continue
+			}
+			nums = append(nums, v.AsFloat())
+			if !seen {
+				mn, mx, seen = v, v, true
+			} else {
+				if Compare(v, mn) < 0 {
+					mn = v
+				}
+				if Compare(v, mx) > 0 {
+					mx = v
+				}
+			}
+		}
+		ndv := float64(len(distinct))
+		if step > 1 && sampled > 0 {
+			ndv = math.Min(ts.Rows, float64(len(distinct))/float64(sampled)*ts.Rows)
+		}
+		if ndv < 1 {
+			ndv = 1
+		}
+		cs := ColStats{NDV: ndv, Min: mn, Max: mx, HasRange: numeric && seen}
+		if numeric && len(nums) >= histBuckets*2 {
+			sort.Float64s(nums)
+			cs.Hist = make([]float64, histBuckets+1)
+			for b := range cs.Hist {
+				cs.Hist[b] = nums[b*(len(nums)-1)/histBuckets]
+			}
+		}
+		ts.Cols[col.Name] = cs
+	}
+	return ts
+}
+
+// statsColumnGens generate one cell each; every generator draws from a
+// small domain so that duplicates, and Int(k) next to Float(k), occur.
+var statsColumnGens = map[string]func(*rand.Rand) Value{
+	"ints": func(rng *rand.Rand) Value { return Int(rng.Int63n(50) - 10) },
+	"ints+null": func(rng *rand.Rand) Value {
+		if rng.Intn(5) == 0 {
+			return Null()
+		}
+		return Int(rng.Int63n(40))
+	},
+	"all-null": func(*rand.Rand) Value { return Null() },
+	"int+integral-float": func(rng *rand.Rand) Value {
+		k := rng.Int63n(30)
+		if rng.Intn(2) == 0 {
+			return Float(float64(k))
+		}
+		return Int(k)
+	},
+	"floats": func(rng *rand.Rand) Value { return Float(float64(rng.Intn(60)) / 4) },
+	"bools+ints": func(rng *rand.Rand) Value {
+		if rng.Intn(2) == 0 {
+			return Bool(rng.Intn(2) == 0)
+		}
+		return Int(rng.Int63n(3))
+	},
+	"strings+null": func(rng *rand.Rand) Value {
+		if rng.Intn(6) == 0 {
+			return Null()
+		}
+		return Str(fmt.Sprint(rng.Intn(25)))
+	},
+	"mixed": func(rng *rand.Rand) Value {
+		k := rng.Int63n(20)
+		switch rng.Intn(6) {
+		case 0:
+			return Null()
+		case 1:
+			return Float(float64(k))
+		case 2:
+			return Float(float64(k) + 0.5)
+		case 3:
+			return Bool(k%2 == 0)
+		case 4:
+			return Str(fmt.Sprint(k))
+		default:
+			return Int(k)
+		}
+	},
+}
+
+// TestComputeStatsMatchesKeyStringReference is the NDV-equivalence
+// property: ComputeStats, with its int64 fast path, yields exactly the
+// statistics of KeyString-based counting, on small columns and on
+// columns above statsSampleCap (the sampled path).
+func TestComputeStatsMatchesKeyStringReference(t *testing.T) {
+	names := make([]string, 0, len(statsColumnGens))
+	for name := range statsColumnGens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	cols := make([]Column, len(names))
+	for i, name := range names {
+		cols[i] = Column{Name: name}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 5, 31, 32, 200, 1000, statsSampleCap + 1, 2*statsSampleCap + 37} {
+		for trial := 0; trial < 3; trial++ {
+			r := NewRelation(NewSchema(cols...))
+			r.Rows = make([]Tuple, n)
+			for i := range r.Rows {
+				row := make(Tuple, len(names))
+				for ci, name := range names {
+					row[ci] = statsColumnGens[name](rng)
+				}
+				r.Rows[i] = row
+			}
+			got, want := ComputeStats(r), keyStringStats(r)
+			if !reflect.DeepEqual(got, want) {
+				for _, name := range names {
+					if g, w := got.Cols[name], want.Cols[name]; !reflect.DeepEqual(g, w) {
+						t.Errorf("n=%d trial=%d column %s: got %+v, want %+v", n, trial, name, g, w)
+					}
+				}
+				t.Fatalf("n=%d trial=%d: stats differ from the KeyString reference", n, trial)
+			}
+		}
+	}
+}
+
+// statsComputed runs f and returns how many statistics computations
+// Relation.Stats performed meanwhile.
+func statsComputed(f func()) int64 {
+	before := statsComputations.Load()
+	f()
+	return statsComputations.Load() - before
+}
+
+func TestOptimizeComputesLeafStatsOnce(t *testing.T) {
+	// A k-leaf equi-join chain of anonymous ValuesPlan leaves: the
+	// greedy join orderer estimates every leaf and many candidate trees
+	// over them, but each leaf's statistics are computed once. Equal
+	// leaves keep the chain in one greedy search (a reordered subchain
+	// would hide its leaves from the outer search behind a projection).
+	const k = 6
+	var p Plan
+	for i := 0; i < k; i++ {
+		a, b := fmt.Sprintf("t%d.a", i), fmt.Sprintf("t%d.b", i)
+		rows := make([][]int64, 40)
+		for j := range rows {
+			rows[j] = []int64{int64(j % 10), int64(j % 7)}
+		}
+		leaf := Values(testRel([]string{a, b}, rows), fmt.Sprintf("t%d", i))
+		if p == nil {
+			p = leaf
+		} else {
+			p = Join(p, leaf, EqCols(fmt.Sprintf("t%d.b", i-1), a))
+		}
+	}
+	cat := NewCatalog()
+	n := statsComputed(func() {
+		if _, err := Optimize(p, cat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != k {
+		t.Fatalf("Optimize over %d leaves computed stats %d times, want %d", k, n, k)
+	}
+	if n := statsComputed(func() { Optimize(p, cat) }); n != 0 {
+		t.Fatalf("re-optimizing recomputed stats %d times", n)
+	}
+}
+
+func TestRelationStatsInvalidation(t *testing.T) {
+	r := testRel([]string{"a"}, [][]int64{{1}, {2}, {2}})
+	if ndv := r.Stats().Cols["a"].NDV; ndv != 2 {
+		t.Fatalf("ndv %v, want 2", ndv)
+	}
+	if n := statsComputed(func() { r.Stats() }); n != 0 {
+		t.Fatalf("unchanged rows recomputed stats %d times", n)
+	}
+	// Append drops the memo.
+	r.AppendVals(Int(3))
+	if ts := r.Stats(); ts.Rows != 4 || ts.Cols["a"].NDV != 3 {
+		t.Fatalf("after Append: %+v", ts)
+	}
+	// Reassigning Rows to another slice of the same length is detected.
+	r.Rows = []Tuple{{Int(5)}, {Int(5)}, {Int(5)}, {Int(5)}}
+	if ts := r.Stats(); ts.Rows != 4 || ts.Cols["a"].NDV != 1 {
+		t.Fatalf("after reassigning Rows: %+v", ts)
+	}
+	// So is a reslice that keeps the backing array but not the length.
+	r.Rows = r.Rows[:2]
+	if ts := r.Stats(); ts.Rows != 2 {
+		t.Fatalf("after reslicing Rows: %+v", ts)
+	}
+	// Catalog.Put drops the memo, covering in-place edits.
+	r.Rows[0] = Tuple{Int(9)}
+	cat := NewCatalog()
+	cat.Put("r", r)
+	if ts := cat.Stats("r"); ts.Cols["a"].NDV != 2 {
+		t.Fatalf("after Put of an edited relation: %+v", ts)
+	}
+}
+
+func TestRelationStatsConcurrent(t *testing.T) {
+	rows := make([][]int64, 500)
+	for i := range rows {
+		rows[i] = []int64{int64(i % 37)}
+	}
+	r := testRel([]string{"a"}, rows)
+	var wg sync.WaitGroup
+	results := make([]*TableStats, 8)
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				results[g] = r.Stats()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, ts := range results {
+		if ts.Cols["a"].NDV != 37 {
+			t.Fatalf("goroutine %d saw ndv %v", g, ts.Cols["a"].NDV)
+		}
 	}
 }

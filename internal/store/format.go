@@ -8,7 +8,6 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/ws"
 )
 
 // Segment file layout (all multi-byte integers are varints unless noted
@@ -205,20 +204,6 @@ type fileMeta struct {
 	Rows  int // total row count
 }
 
-// padAssign returns the k-th assignment of the descriptor padded to an
-// arbitrary width, mirroring ws.Descriptor.Pad: existing assignments
-// first, then the first assignment repeated (or the trivial assignment
-// for the empty descriptor).
-func padAssign(d ws.Descriptor, k int) ws.Assignment {
-	if k < len(d) {
-		return d[k]
-	}
-	if len(d) > 0 {
-		return d[0]
-	}
-	return ws.Assignment{Var: ws.TrivialVar, Val: 0}
-}
-
 // deriveKinds infers each value column's storage kind over all rows:
 // the shared kind of the non-null values, engine.KindNull if every
 // value is null, kindMixed otherwise.
@@ -252,10 +237,10 @@ func encodeSegment(rows []core.URow, width int, kinds []byte) ([]byte, []colStat
 	// already contained variable assignments").
 	for k := 0; k < width; k++ {
 		for _, r := range rows {
-			b = appendInt(b, int64(padAssign(r.D, k).Var))
+			b = appendInt(b, int64(r.D.PaddedAt(k, width).Var))
 		}
 		for _, r := range rows {
-			b = appendInt(b, int64(padAssign(r.D, k).Val))
+			b = appendInt(b, int64(r.D.PaddedAt(k, width).Val))
 		}
 	}
 	// Tuple-id column.

@@ -162,10 +162,10 @@ func materializeStoredRow(sch engine.Schema, width, fw int, attrIdx []int, seg *
 // materializeMemRow builds one output tuple from an in-memory delta row.
 func materializeMemRow(sch engine.Schema, width int, attrIdx []int, r core.URow) engine.Tuple {
 	t := make(engine.Tuple, sch.Len())
-	d := r.D.Pad(width)
 	for k := 0; k < width; k++ {
-		t[2*k] = engine.Int(int64(d[k].Var))
-		t[2*k+1] = engine.Int(int64(d[k].Val))
+		a := r.D.PaddedAt(k, width)
+		t[2*k] = engine.Int(int64(a.Var))
+		t[2*k+1] = engine.Int(int64(a.Val))
 	}
 	t[2*width] = engine.Int(r.TID)
 	for j, ai := range attrIdx {

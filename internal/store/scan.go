@@ -395,10 +395,10 @@ func (s *StoreScanIter) memTuples() ([]engine.Tuple, error) {
 	out := make([]engine.Tuple, 0, len(mem))
 	for _, r := range mem {
 		t := make(engine.Tuple, ncols)
-		d := r.D.Pad(s.Width)
 		for k := 0; k < s.Width; k++ {
-			t[2*k] = engine.Int(int64(d[k].Var))
-			t[2*k+1] = engine.Int(int64(d[k].Val))
+			a := r.D.PaddedAt(k, s.Width)
+			t[2*k] = engine.Int(int64(a.Var))
+			t[2*k+1] = engine.Int(int64(a.Val))
 		}
 		t[2*s.Width] = engine.Int(r.TID)
 		for j, ai := range s.AttrIdx {

@@ -192,25 +192,24 @@ func (d Descriptor) StringNamed(w *WorldTable) string {
 	return b.String()
 }
 
-// Pad returns a copy of d extended to exactly width assignments by
-// repeating an existing assignment, or the trivial assignment if d is
-// empty — the paper's "pumping in already contained variable
-// assignments" (Section 3, union translation). Pad panics if
-// len(d) > width; callers size the target first.
-func (d Descriptor) Pad(width int) Descriptor {
+// PaddedAt returns assignment k of d as if d were extended to exactly
+// width assignments by repeating its first assignment, or the trivial
+// assignment if d is empty — the paper's "pumping in already contained
+// variable assignments" (Section 3, union translation). It reads d in
+// place, so encoders can pad row by row without a padded copy.
+// PaddedAt panics if len(d) > width; callers size the target first.
+func (d Descriptor) PaddedAt(k, width int) Assignment {
 	if len(d) > width {
 		panic(fmt.Sprintf("ws: cannot pad descriptor of size %d to width %d", len(d), width))
 	}
-	out := make(Descriptor, 0, width)
-	out = append(out, d...)
-	fill := Assignment{Var: TrivialVar, Val: 0}
-	if len(d) > 0 {
-		fill = d[0]
+	switch {
+	case k < len(d):
+		return d[k]
+	case len(d) > 0:
+		return d[0]
+	default:
+		return Assignment{Var: TrivialVar, Val: 0}
 	}
-	for len(out) < width {
-		out = append(out, fill)
-	}
-	return out
 }
 
 // String implements fmt.Stringer for variables ("c7"; "⊤" for the

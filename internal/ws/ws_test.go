@@ -146,13 +146,15 @@ func TestDescriptorExtendedBy(t *testing.T) {
 
 func TestDescriptorPad(t *testing.T) {
 	d := MustDescriptor(A(1, 1))
-	p := d.Pad(3)
-	if len(p) != 3 || p[1] != A(1, 1) || p[2] != A(1, 1) {
-		t.Fatalf("pad repeats assignments: %v", p)
+	if d.PaddedAt(0, 3) != A(1, 1) || d.PaddedAt(1, 3) != A(1, 1) || d.PaddedAt(2, 3) != A(1, 1) {
+		t.Fatalf("pad repeats assignments: %v %v %v", d.PaddedAt(0, 3), d.PaddedAt(1, 3), d.PaddedAt(2, 3))
+	}
+	two := MustDescriptor(A(1, 1), A(2, 0))
+	if two.PaddedAt(1, 4) != A(2, 0) || two.PaddedAt(3, 4) != A(1, 1) {
+		t.Fatalf("pad repeats the first assignment: %v %v", two.PaddedAt(1, 4), two.PaddedAt(3, 4))
 	}
 	var empty Descriptor
-	pe := empty.Pad(2)
-	if len(pe) != 2 || pe[0].Var != TrivialVar {
+	if pe := empty.PaddedAt(1, 2); pe.Var != TrivialVar || empty.PaddedAt(0, 2).Var != TrivialVar {
 		t.Fatalf("empty pads with trivial: %v", pe)
 	}
 	defer func() {
@@ -160,7 +162,7 @@ func TestDescriptorPad(t *testing.T) {
 			t.Fatal("pad below size must panic")
 		}
 	}()
-	p.Pad(1)
+	two.PaddedAt(0, 1)
 }
 
 func TestConsistencyUnionAgree(t *testing.T) {
