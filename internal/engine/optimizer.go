@@ -330,7 +330,11 @@ func uniqueStrings(a []string) bool {
 
 // greedyJoin picks the smallest leaf, then repeatedly joins in the leaf
 // that minimizes the estimated result size, preferring connected leaves
-// (those sharing an applicable predicate) over cross products.
+// over cross products. A leaf is connected when the predicates linking
+// it to the tree so far include an equi-join pair: a predicate that
+// only links the two sides through a disjunction — the ψ consistency
+// conditions (d.v <> d'.v OR d.r = d'.r) of translated U-relation
+// queries — still leaves a nested-loop cross product.
 func greedyJoin(leaves []joinLeaf, preds []Expr, cat *Catalog) (Plan, error) {
 	used := make([]bool, len(leaves))
 	applied := make([]bool, len(preds))
@@ -364,17 +368,20 @@ func greedyJoin(leaves []joinLeaf, preds []Expr, cat *Catalog) (Plan, error) {
 			}
 			joined := curSch.Concat(lf.sch)
 			var conds []Expr
-			connected := false
 			for pi, pr := range preds {
 				if applied[pi] {
 					continue
 				}
 				if CoveredBy(pr, joined) && !CoveredBy(pr, curSch) && !CoveredBy(pr, lf.sch) {
 					conds = append(conds, pr)
-					connected = true
 				}
 			}
 			jp := &JoinPlan{Kind: InnerJoin, L: cur, R: lf.plan, Cond: And(conds...)}
+			connected := false
+			if len(conds) > 0 {
+				pairs, _ := ExtractEquiJoin(jp.Cond, curSch, lf.sch)
+				connected = len(pairs) > 0
+			}
 			rows := EstimateStats(jp, cat).Rows
 			c := &cand{idx: i, plan: jp, rows: rows, connected: connected}
 			if bestCand == nil ||

@@ -164,3 +164,62 @@ func TestOptimizeIsSchemaPreserving(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyJoinIgnoresPsiOnlyLinks: a leaf linked to the join tree
+// only by a ψ consistency disjunction (d.v <> d'.v OR d.r = d'.r) is
+// not connected, even when its estimated cross product is smaller than
+// the equi-join with another leaf — joining it first would run a
+// nested-loop cross product.
+func TestGreedyJoinIgnoresPsiOnlyLinks(t *testing.T) {
+	var aRows, bRows, cRows [][]int64
+	for i := int64(0); i < 10; i++ {
+		aRows = append(aRows, []int64{i, i % 3, i % 2})
+	}
+	for i := int64(0); i < 1000; i++ {
+		bRows = append(bRows, []int64{i % 10, i})
+	}
+	for i := int64(0); i < 50; i++ {
+		cRows = append(cRows, []int64{i * 20, i % 3, i % 2})
+	}
+	a := Values(testRel([]string{"a.k", "a.v", "a.r"}, aRows), "a")
+	b := Values(testRel([]string{"b.k", "b.j"}, bRows), "b")
+	c := Values(testRel([]string{"c.j", "c.v", "c.r"}, cRows), "c")
+	psi := Or(Cmp(NE, Col("a.v"), Col("c.v")), EqCols("a.r", "c.r"))
+	p := Join(Join(a, c, psi), b, And(EqCols("a.k", "b.k"), EqCols("b.j", "c.j")))
+
+	cat := NewCatalog()
+	// The trap: a × c under ψ (10·50·0.9 = 450) is estimated below
+	// a ⋈ b (10·1000/10 = 1000).
+	if cross, equi := EstimateStats(Join(a, c, psi), cat).Rows, EstimateStats(Join(a, b, EqCols("a.k", "b.k")), cat).Rows; cross >= equi {
+		t.Fatalf("test premise: ψ-only cross product estimated at %v, equi-join at %v", cross, equi)
+	}
+	opt, err := Optimize(p, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var check func(q Plan)
+	check = func(q Plan) {
+		if j, ok := q.(*JoinPlan); ok {
+			ls, _ := j.L.Schema(cat)
+			rs, _ := j.R.Schema(cat)
+			if pairs, _ := ExtractEquiJoin(j.Cond, ls, rs); len(pairs) == 0 {
+				t.Fatalf("optimized plan joins without an equi-join pair:\n%s", mustExplain(t, opt, cat))
+			}
+		}
+		for _, ch := range q.Children() {
+			check(ch)
+		}
+	}
+	check(opt)
+	got, err := Run(opt, cat, ExecConfig{DisableOptimizer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(p, cat, ExecConfig{DisableOptimizer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsBag(want) {
+		t.Fatal("join reordering changed the result")
+	}
+}

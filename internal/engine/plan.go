@@ -35,6 +35,18 @@ type SourcePlan interface {
 	EstimateRowCount() float64
 }
 
+// StatsSource is implemented by source plans that know their
+// statistics without reading their data (the store's scans take them
+// from segment-file footers). The estimators cost such a leaf exactly
+// like an in-memory relation with the same statistics; a SourcePlan
+// without them is costed by EstimateRowCount alone.
+type StatsSource interface {
+	SourcePlan
+	// LeafStats returns the leaf's row count and the per-column
+	// statistics it knows, keyed by output column name.
+	LeafStats() *TableStats
+}
+
 // ColumnarLeaf is implemented by source plans whose physical iterator
 // serves column batches natively (ColumnarNative). EXPLAIN consults it
 // to annotate each operator with its execution mode: a chain of

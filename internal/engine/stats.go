@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -39,10 +40,9 @@ func ComputeStats(r *Relation) *TableStats {
 		step = n / statsSampleCap
 	}
 	sampled := (n + step - 1) / step
-	var kbuf []byte
+	var dc DistinctCounter
 	for ci, col := range r.Sch.Cols {
-		var distinct int
-		distinct, kbuf = countDistinct(r.Rows, ci, step, kbuf)
+		distinct := dc.Count(r.Rows, ci, step)
 		var mn, mx Value
 		seen := false
 		numeric := true
@@ -87,40 +87,172 @@ func ComputeStats(r *Relation) *TableStats {
 	return ts
 }
 
-// countDistinct counts the distinct values of column ci over every
-// step-th row, with the value identity of KeyString (so Int(3) and
-// Float(3.0) are one value). A column of ints and NULLs is counted on
-// its int64 payloads; any other column on reused KeyString bytes, where
-// the map lookup does not allocate and only fresh values pay a
-// conversion. kbuf is the caller's scratch buffer, returned grown.
-func countDistinct(rows []Tuple, ci, step int, kbuf []byte) (int, []byte) {
-	allInt := true
+// DistinctCounter counts the distinct values of a column with the
+// value identity of KeyString (so Int(3) and Float(3.0) are one value),
+// NULL counting as one value. It is the system's one NDV definition:
+// ComputeStats uses it for in-memory relations and the store's writer
+// for the distinct counts in segment-file footers, so a stored leaf
+// reports the statistics of its in-memory twin.
+//
+// A column whose non-null cells share one kind is counted on typed
+// keys (DistinctKey, or the strings themselves): by counting changes
+// when they arrive sorted, on a bitset over a dense int range, or on a
+// reused hash table. Only a mixed-kind column pays for KeyString bytes.
+// A counter reuses its scratch from column to column; the zero value is
+// ready to use. Not safe for concurrent use.
+type DistinctCounter struct {
+	ints  []int64
+	strs  []string
+	set   map[string]struct{}
+	words []uint64 // bitset or hash table
+	kbuf  []byte
+}
+
+// Count returns the number of distinct values in column ci of every
+// step-th row.
+func (dc *DistinctCounter) Count(rows []Tuple, ci, step int) int {
+	kind, null := KindNull, 0
+	ints, strs := dc.ints[:0], dc.strs[:0]
 	for i := 0; i < len(rows); i += step {
-		if k := rows[i][ci].K; k != KindInt && k != KindNull {
-			allInt = false
-			break
+		v := &rows[i][ci]
+		if v.K == KindNull {
+			null = 1
+			continue
+		}
+		if v.K != kind {
+			if kind != KindNull {
+				return dc.countKeys(rows, ci, step)
+			}
+			kind = v.K
+		}
+		if kind == KindString {
+			strs = append(strs, v.S)
+		} else {
+			ints = append(ints, DistinctKey(*v))
 		}
 	}
-	if allInt {
-		ints := make(map[int64]struct{})
-		null := 0
-		for i := 0; i < len(rows); i += step {
-			if v := rows[i][ci]; v.K == KindNull {
-				null = 1
-			} else {
-				ints[v.I] = struct{}{}
+	dc.ints, dc.strs = ints, strs
+	if kind == KindString {
+		return null + dc.CountStrings(strs)
+	}
+	return null + dc.CountInts(ints)
+}
+
+// CountInts returns the number of distinct keys, the DistinctKey values
+// of the non-null cells of a column of one int, bool or float kind.
+func (dc *DistinctCounter) CountInts(keys []int64) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	lo, hi, sorted := keys[0], keys[0], true
+	for i, k := range keys[1:] {
+		if k < keys[i] {
+			sorted = false
+		}
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if sorted {
+		runs := 1
+		for i, k := range keys[1:] {
+			if k != keys[i] {
+				runs++
 			}
 		}
-		return len(ints) + null, kbuf
+		return runs
 	}
-	keys := make(map[string]struct{})
-	for i := 0; i < len(rows); i += step {
-		kbuf = AppendKey(kbuf[:0], rows[i][ci:ci+1])
-		if _, ok := keys[string(kbuf)]; !ok {
-			keys[string(kbuf)] = struct{}{}
+	if span := uint64(hi) - uint64(lo); span < 16*uint64(len(keys)) {
+		// A dense range: one bit per possible key.
+		w := dc.scratchWords(int(span/64 + 1))
+		for _, k := range keys {
+			off := uint64(k) - uint64(lo)
+			w[off/64] |= 1 << (off % 64)
+		}
+		n := 0
+		for _, x := range w {
+			n += bits.OnesCount64(x)
+		}
+		return n
+	}
+	// Open addressing at load <= 1/2, 0 marking an empty slot (the key
+	// 0 is counted aside).
+	b := bits.Len(uint(2 * len(keys)))
+	t := dc.scratchWords(1 << b)
+	mask := uint64(len(t) - 1)
+	n, zero := 0, 0
+	for _, k := range keys {
+		u := uint64(k)
+		if u == 0 {
+			zero = 1
+			continue
+		}
+		for i := (u * 0x9E3779B97F4A7C15) >> (64 - b); t[i] != u; i = (i + 1) & mask {
+			if t[i] == 0 {
+				t[i] = u
+				n++
+				break
+			}
 		}
 	}
-	return len(keys), kbuf
+	return n + zero
+}
+
+// CountStrings returns the number of distinct values in strs, the
+// non-null cells of a column of strings.
+func (dc *DistinctCounter) CountStrings(strs []string) int {
+	if dc.set == nil {
+		dc.set = make(map[string]struct{}, len(strs))
+	}
+	clear(dc.set)
+	for _, s := range strs {
+		dc.set[s] = struct{}{}
+	}
+	return len(dc.set)
+}
+
+// scratchWords returns the counter's word buffer, zeroed, at length n.
+func (dc *DistinctCounter) scratchWords(n int) []uint64 {
+	if cap(dc.words) < n {
+		dc.words = make([]uint64, n)
+	}
+	dc.words = dc.words[:n]
+	clear(dc.words)
+	return dc.words
+}
+
+// countKeys counts a mixed-kind column on reused KeyString bytes: the
+// map lookup does not allocate, only fresh values pay a conversion.
+func (dc *DistinctCounter) countKeys(rows []Tuple, ci, step int) int {
+	if dc.set == nil {
+		dc.set = make(map[string]struct{})
+	}
+	clear(dc.set)
+	for i := 0; i < len(rows); i += step {
+		dc.kbuf = AppendKey(dc.kbuf[:0], rows[i][ci:ci+1])
+		if _, ok := dc.set[string(dc.kbuf)]; !ok {
+			dc.set[string(dc.kbuf)] = struct{}{}
+		}
+	}
+	return len(dc.set)
+}
+
+// DistinctKey maps a non-null int, bool or float cell to the int64 key
+// under which DistinctCounter counts a column of that one kind:
+// injective on the KeyString identity, it is the payload for ints and
+// bools, and for floats the bit pattern with both zeros and all NaNs
+// made one (KeyString renders every NaN alike and encodes -0 as the
+// integer 0).
+func DistinctKey(v Value) int64 {
+	if v.K != KindFloat {
+		return v.I
+	}
+	switch {
+	case v.F == 0:
+		return 0
+	case v.F != v.F:
+		return int64(math.Float64bits(math.NaN()))
+	default:
+		return int64(math.Float64bits(v.F))
+	}
 }
 
 // equiDepthHist builds sorted bucket boundaries holding equal row
@@ -181,24 +313,14 @@ const (
 // join-order search re-estimates candidate trees without rescanning
 // base data.
 func EstimateStats(p Plan, cat *Catalog) PlanStats {
+	if ts, ok := leafStats(p, cat); ok {
+		ndv := make(map[string]float64, len(ts.Cols))
+		for c, cs := range ts.Cols {
+			ndv[c] = cs.NDV
+		}
+		return PlanStats{Rows: ts.Rows, NDV: ndv}
+	}
 	switch n := p.(type) {
-	case *ScanPlan:
-		ts := cat.Stats(n.Name)
-		if ts == nil {
-			return PlanStats{Rows: 1000, NDV: map[string]float64{}}
-		}
-		ndv := make(map[string]float64, len(ts.Cols))
-		for c, cs := range ts.Cols {
-			ndv[c] = cs.NDV
-		}
-		return PlanStats{Rows: ts.Rows, NDV: ndv}
-	case *ValuesPlan:
-		ts := n.Rel.Stats()
-		ndv := make(map[string]float64, len(ts.Cols))
-		for c, cs := range ts.Cols {
-			ndv[c] = cs.NDV
-		}
-		return PlanStats{Rows: ts.Rows, NDV: ndv}
 	case *FilterPlan:
 		in := EstimateStats(n.Child, cat)
 		sel := estimateSelectivity(n.Cond, n.Child, cat, in)
@@ -320,9 +442,6 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		out := math.Max(1, math.Min(in.Rows, groups))
 		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
 	default:
-		if sp, ok := p.(SourcePlan); ok {
-			return PlanStats{Rows: sp.EstimateRowCount(), NDV: map[string]float64{}}
-		}
 		// Unknown unary wrappers pass their child's estimate through
 		// rather than degrading to a constant.
 		if ch := p.Children(); len(ch) == 1 {
@@ -330,6 +449,29 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
 	}
+}
+
+// leafStats is the one statistics lookup for leaf plans: a catalog
+// scan reads Catalog.Stats, an anonymous relation its Relation.Stats
+// memo, and a storage source its StatsSource statistics (or, lacking
+// them, only EstimateRowCount). Whatever the leaf, the estimators then
+// cost it identically, so a stored partition and its in-memory twin
+// with equal statistics plan alike. ok is false for inner nodes.
+func leafStats(p Plan, cat *Catalog) (ts *TableStats, ok bool) {
+	switch n := p.(type) {
+	case *ScanPlan:
+		if ts := cat.Stats(n.Name); ts != nil {
+			return ts, true
+		}
+		return &TableStats{Rows: 1000}, true
+	case *ValuesPlan:
+		return n.Rel.Stats(), true
+	case StatsSource:
+		return n.LeafStats(), true
+	case SourcePlan:
+		return &TableStats{Rows: n.EstimateRowCount()}, true
+	}
+	return nil, false
 }
 
 // EstimateRows returns only the estimated output cardinality of a plan.
@@ -569,27 +711,14 @@ func residualSelectivity(residual Expr) float64 {
 }
 
 // baseColStats traces a column through simple plan shapes down to a
-// base relation to find range stats.
+// leaf to find range stats. Columns are matched by exact name, for
+// every kind of leaf alike.
 func baseColStats(p Plan, cat *Catalog, col string) (ColStats, bool) {
-	switch n := p.(type) {
-	case *ScanPlan:
-		ts := cat.Stats(n.Name)
-		if ts == nil {
-			return ColStats{}, false
-		}
+	if ts, ok := leafStats(p, cat); ok {
 		cs, ok := ts.Cols[col]
-		if !ok {
-			// Suffix resolution, mirroring Schema.IndexOf.
-			for name, c := range ts.Cols {
-				if suffixAfterDot(name) == col {
-					return c, true
-				}
-			}
-		}
 		return cs, ok
-	case *ValuesPlan:
-		cs, ok := n.Rel.Stats().Cols[col]
-		return cs, ok
+	}
+	switch n := p.(type) {
 	case *FilterPlan:
 		return baseColStats(n.Child, cat, col)
 	case *ProjectPlan:

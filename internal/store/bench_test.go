@@ -7,6 +7,7 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/tpch"
 )
 
 // benchScanRows builds a 3-attribute partition (int, float, string).
@@ -129,4 +130,45 @@ func BenchmarkSaveOpen(b *testing.B) {
 			h.Close()
 		}
 	})
+}
+
+// benchCatalog is the serving benchmark's dataset: uncertain TPC-H at
+// s=0.5, x=0.01, z=0.25 (30k lineitems).
+func benchCatalog(b *testing.B) *core.UDB {
+	b.Helper()
+	db, _, err := tpch.Generate(tpch.DefaultParams(0.5, 0.01, 0.25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkSave measures snapshotting a whole catalog: encoding every
+// partition, its footer statistics (distinct counts included) and the
+// world table.
+func BenchmarkSave(b *testing.B) {
+	db := benchCatalog(b)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Save(db, dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardedSave measures splitting the same catalog across two
+// shard directories, lineitem and orders hash-partitioned by tuple id.
+func BenchmarkShardedSave(b *testing.B) {
+	db := benchCatalog(b)
+	root := b.TempDir()
+	dirs := []string{filepath.Join(root, "shard0"), filepath.Join(root, "shard1")}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ShardedSave(db, dirs, []string{"lineitem", "orders"}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

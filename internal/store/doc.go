@@ -18,7 +18,14 @@
 //     ids as varint columns (the paper's D and T columns), then one
 //     typed column vector per value attribute (the B columns) with a
 //     null bitmap. A footer records per-segment row counts, CRC32
-//     checksums, and per-column min/max statistics.
+//     checksums, and per-column min/max statistics. Version 2 files
+//     (magic "URSEGv2\n") end the footer with exact distinct counts
+//     over the whole file — the tuple-id column, then each value
+//     column — counted by engine.DistinctCounter, the counter the
+//     engine's in-memory statistics use; the decoder rejects a count
+//     above the file's row count or a short count block as corrupt.
+//     Version 1 files ("URSEGv1\n", the same layout without the
+//     counts) still open, scan, and report their counts unknown.
 //
 //   - Catalog (catalog.go). Save snapshots a whole UDB — the world
 //     table W (Section 2's W(Var, Rng) plus the Section 7 probability
@@ -40,7 +47,10 @@
 //     above a scan (the σ of the paper's Figure 4 translation) prune
 //     segments whose min/max statistics refute them, and the surviving
 //     row count feeds engine.EstimateRows so the serial-vs-parallel
-//     gate works on stored data.
+//     gate works on stored data. It also implements engine.StatsSource:
+//     the optimizer costs a stored leaf from footer row and distinct
+//     counts alone (merged over file layers and the in-memory delta),
+//     exactly as it costs the same partition held in memory.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -18,15 +20,20 @@ import (
 //	footer: width, #attrs, attr kind bytes, #segments,
 //	        per segment: offset, length, crc32 (fixed32), rows,
 //	                     per attr: non-null count, [min value, max value]
+//	        distinct counts over the whole file: tuple id, then per attr
 //	tail (16 bytes, fixed): footer offset (fixed64) + tailMagic
 //
 // Each segment holds up to the writer's segment-row budget of rows,
 // column-major: the padded descriptor (Var, Rng) columns, the tuple-id
 // column, then one value column per attribute (null bitmap + payload).
+//
+// Version 1 files (fileMagicV1) have the same layout without the
+// distinct counts; they still open, and report their counts unknown.
 const (
-	fileMagic = "URSEGv1\n"
-	tailMagic = "URSEGend"
-	tailLen   = 8 + len(tailMagic)
+	fileMagic   = "URSEGv2\n"
+	fileMagicV1 = "URSEGv1\n"
+	tailMagic   = "URSEGend"
+	tailLen     = 8 + len(tailMagic)
 )
 
 // kindMixed marks a column whose non-null values do not share a single
@@ -202,30 +209,81 @@ type fileMeta struct {
 	Kinds []byte // engine.Kind per value attribute, or kindMixed
 	Segs  []segMeta
 	Rows  int // total row count
+	// NDV holds the file's exact distinct counts, with the identity of
+	// engine.DistinctCounter: the tuple-id column, then each value
+	// attribute. Nil for version 1 files, which do not record them.
+	NDV []int
 }
 
-// deriveKinds infers each value column's storage kind over all rows:
+// columnScratch is deriveColumns' reusable working set: a distinct
+// counter and the typed keys to feed it.
+type columnScratch struct {
+	dc   engine.DistinctCounter
+	ints []int64
+	strs []string
+}
+
+// scratches recycles column scratch, and its buffers, across the
+// partitions a save or flush writes.
+var scratches = sync.Pool{New: func() any { return new(columnScratch) }}
+
+// deriveColumns infers each value column's storage kind over all rows —
 // the shared kind of the non-null values, engine.KindNull if every
-// value is null, kindMixed otherwise.
-func deriveKinds(rows []core.URow, nattrs int) []byte {
-	kinds := make([]byte, nattrs)
+// value is null, kindMixed otherwise — and, in the same passes, the
+// footer's distinct counts: the tuple ids, then each value column. A
+// single-kind column is counted on the typed keys gathered in the kind
+// pass, a mixed one by DistinctCounter.Count over its cells.
+func deriveColumns(rows []core.URow, nattrs int) (kinds []byte, ndv []int) {
+	kinds = make([]byte, nattrs)
+	ndv = make([]int, 1+nattrs)
+	sc := scratches.Get().(*columnScratch)
+	defer scratches.Put(sc)
+	ints := slices.Grow(sc.ints[:0], len(rows))
+	for i := range rows {
+		ints = append(ints, rows[i].TID)
+	}
+	ndv[0] = sc.dc.CountInts(ints)
+	strs := sc.strs[:0]
 	for ci := 0; ci < nattrs; ci++ {
-		k := byte(engine.KindNull)
-		for _, r := range rows {
-			v := r.Vals[ci]
-			if v.IsNull() {
+		k, null := byte(engine.KindNull), 0
+		ints, strs = ints[:0], strs[:0]
+		for i := range rows {
+			v := &rows[i].Vals[ci]
+			if v.K == engine.KindNull {
+				null = 1
 				continue
 			}
 			if k == byte(engine.KindNull) {
 				k = byte(v.K)
-			} else if k != byte(v.K) {
+			}
+			if k != byte(v.K) {
 				k = kindMixed
 				break
 			}
+			if v.K == engine.KindString {
+				strs = append(strs, v.S)
+			} else {
+				ints = append(ints, engine.DistinctKey(*v))
+			}
 		}
 		kinds[ci] = k
+		switch k {
+		case kindMixed:
+			vals := make([]engine.Tuple, len(rows))
+			for i := range rows {
+				vals[i] = rows[i].Vals
+			}
+			ndv[1+ci] = sc.dc.Count(vals, ci, 1)
+		case byte(engine.KindNull):
+			ndv[1+ci] = null
+		case byte(engine.KindString):
+			ndv[1+ci] = null + sc.dc.CountStrings(strs)
+		default:
+			ndv[1+ci] = null + sc.dc.CountInts(ints)
+		}
 	}
-	return kinds
+	sc.ints, sc.strs = ints, strs
+	return kinds, ndv
 }
 
 // encodeSegment encodes rows column-major and computes the per-column
@@ -437,12 +495,17 @@ func appendFooter(b []byte, m *fileMeta) []byte {
 			}
 		}
 	}
+	for _, n := range m.NDV {
+		b = appendUint(b, uint64(n))
+	}
 	return b
 }
 
 // decodeFooter decodes the footer region and sanity-checks segment
-// bounds against the payload region [payloadStart, payloadEnd).
-func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error) {
+// bounds against the payload region [payloadStart, payloadEnd). A
+// version 2 footer (withNDV) must end in one distinct count per column,
+// none above the file's row count.
+func decodeFooter(data []byte, payloadStart, payloadEnd int64, withNDV bool) (*fileMeta, error) {
 	c := &cursor{b: data}
 	m := &fileMeta{}
 	w, err := c.count(1 << 20)
@@ -483,6 +546,12 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error
 			return nil, corruptf("segment %d range [%d, %d) outside payload [%d, %d)",
 				i, s.Off, s.Off+int64(s.Len), payloadStart, payloadEnd)
 		}
+		// The writer never emits an empty segment, and every row stores
+		// at least one varint byte per descriptor and tuple-id column:
+		// checking both bounds what decoding the segment allocates.
+		if s.Rows == 0 || int64(s.Rows)*int64(2*w+1) > int64(s.Len) {
+			return nil, corruptf("segment %d claims %d rows in %d bytes", i, s.Rows, s.Len)
+		}
 		s.Stats = make([]colStats, na)
 		for ci := range s.Stats {
 			nn, err := c.count(1 << 31)
@@ -501,6 +570,16 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error
 		}
 		m.Rows += s.Rows
 		m.Segs = append(m.Segs, s)
+	}
+	if withNDV {
+		m.NDV = make([]int, 1+na)
+		for ci := range m.NDV {
+			n, err := c.count(uint64(m.Rows))
+			if err != nil {
+				return nil, err
+			}
+			m.NDV[ci] = n
+		}
 	}
 	if c.pos != len(data) {
 		return nil, corruptf("%d trailing bytes in footer", len(data)-c.pos)

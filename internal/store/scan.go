@@ -8,8 +8,9 @@ import (
 
 // StoreScanPlan is the leaf plan over one stored partition (all of its
 // file layers plus the source's in-memory delta). It implements
-// engine.SourcePlan (so Build lowers it and the estimators cost it
-// without the engine importing this package) and engine.FilterAdvisor:
+// engine.SourcePlan and engine.StatsSource (so Build lowers it and the
+// estimators cost it, from footer statistics, without the engine
+// importing this package) and engine.FilterAdvisor:
 // a selection evaluated directly above the scan prunes file segments
 // whose footer min/max statistics refute it, and the surviving row
 // count is what EstimateRowCount reports — so the parallelism gate
@@ -84,6 +85,24 @@ func (p *StoreScanPlan) EstimateRowCount() float64 {
 		}
 	}
 	return float64(rows)
+}
+
+// LeafStats implements engine.StatsSource from the file footers alone,
+// never decoding a segment: Rows is EstimateRowCount, and the tuple-id
+// and value columns carry the distinct counts PartSource.ndv merges
+// over the layers. Descriptor columns and value ranges carry none.
+func (p *StoreScanPlan) LeafStats() *engine.TableStats {
+	ts := &engine.TableStats{Rows: p.EstimateRowCount(), Cols: make(map[string]engine.ColStats, 1+len(p.AttrIdx))}
+	tidAt := 2 * p.Width
+	if n, ok := p.Src.ndv(0, ts.Rows); ok {
+		ts.Cols[p.Sch.Cols[tidAt].Name] = engine.ColStats{NDV: n}
+	}
+	for j, ai := range p.AttrIdx {
+		if n, ok := p.Src.ndv(1+ai, ts.Rows); ok {
+			ts.Cols[p.Sch.Cols[tidAt+1+j].Name] = engine.ColStats{NDV: n}
+		}
+	}
+	return ts
 }
 
 // BuildIter lowers the scan to its physical iterator.

@@ -36,7 +36,7 @@ func WritePartition(path string, rows []core.URow, nattrs, segRows int) (int, er
 			return 0, fmt.Errorf("store: row has %d values, want %d", len(r.Vals), nattrs)
 		}
 	}
-	kinds := deriveKinds(rows, nattrs)
+	kinds, ndv := deriveColumns(rows, nattrs)
 
 	f, err := os.Create(path)
 	if err != nil {
@@ -46,7 +46,7 @@ func WritePartition(path string, rows []core.URow, nattrs, segRows int) (int, er
 	if _, err := f.WriteString(fileMagic); err != nil {
 		return 0, err
 	}
-	meta := &fileMeta{Width: width, Kinds: kinds}
+	meta := &fileMeta{Width: width, Kinds: kinds, NDV: ndv}
 	off := int64(len(fileMagic))
 	for start := 0; start < len(rows); start += segRows {
 		end := start + segRows
@@ -158,7 +158,7 @@ func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
 	if _, err := src.ReadAt(head, 0); err != nil {
 		return nil, corruptf("reading header: %v", err)
 	}
-	if string(head) != fileMagic {
+	if string(head) != fileMagic && string(head) != fileMagicV1 {
 		return nil, corruptf("bad magic %q", head)
 	}
 	tail := make([]byte, tailLen)
@@ -178,7 +178,7 @@ func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
 	if _, err := src.ReadAt(footer, footerOff); err != nil {
 		return nil, corruptf("reading footer: %v", err)
 	}
-	meta, err := decodeFooter(footer, int64(len(fileMagic)), footerOff)
+	meta, err := decodeFooter(footer, int64(len(fileMagic)), footerOff, string(head) == fileMagic)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"io"
+	"math"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -88,6 +89,22 @@ func (s *PartSource) NumRows() int {
 		n += h.NumRows()
 	}
 	return n
+}
+
+// ndv returns the distinct count of footer column c (0 = tuple id,
+// 1+i = value attribute i) across the layers and the in-memory delta:
+// min(rows, Σ layer NDV + len(Mem)), at least 1 as in
+// engine.ComputeStats. The sum is exact for a lone layer and an upper
+// bound otherwise. ok is false when a layer predates footer counts.
+func (s *PartSource) ndv(c int, rows float64) (n float64, ok bool) {
+	sum := len(s.Mem)
+	for _, h := range s.Layers {
+		if c >= len(h.meta.NDV) {
+			return 0, false
+		}
+		sum += h.meta.NDV[c]
+	}
+	return math.Max(1, math.Min(rows, float64(sum))), true
 }
 
 // DescriptorWidth returns the maximum padded descriptor width across
